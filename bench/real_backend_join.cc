@@ -15,7 +15,7 @@
 //      morsel-driven work-stealing claim made measurable: identical
 //      count/checksum, stealing <= static wall-clock under skew, and
 //   3. dereference-kernel x paging-policy (scalar+none baseline against
-//      prefetch+none / prefetch+advise / prefetch+populate) with the
+//      prefetch+none / prefetch+advise) with the
 //      join.kernel.* / join.paging.* telemetry. Every combination must
 //      produce the identical verified count/checksum (asserted
 //      unconditionally). Timings on small VMs are noisy: set
@@ -174,8 +174,6 @@ constexpr KernelCombo kCombos[] = {
     {"prefetch+none", exec::DerefKernel::kPrefetch, exec::PagingMode::kNone},
     {"prefetch+advise", exec::DerefKernel::kPrefetch,
      exec::PagingMode::kAdvise},
-    {"prefetch+populate", exec::DerefKernel::kPrefetch,
-     exec::PagingMode::kPopulate},
 };
 
 /// Best-of-`reps` wall clock for one algorithm x combo. Every rep's result

@@ -32,7 +32,7 @@
 //   --skew-split=K                hot-partition split factor (real) [4]
 //   --kernel=scalar|prefetch      dereference kernel (real)    [prefetch]
 //   --prefetch-distance=N         in-flight S derefs (real)    [32]
-//   --paging=none|advise|populate mmap paging policy (real)    [advise]
+//   --paging=none|advise          mmap paging policy (real)    [advise]
 //   --huge-pages                  MADV_HUGEPAGE on temps (real)
 //   --scatter=direct|buffered|stream  partition scatter (real) [buffered]
 //   --scatter-tuples=N            staged tuples per dest (real) [16]
@@ -82,7 +82,7 @@ constexpr char kUsage[] =
     "  --kernel=scalar|prefetch      dereference kernel (real)    "
     "[prefetch]\n"
     "  --prefetch-distance=N         in-flight S derefs (real)    [32]\n"
-    "  --paging=none|advise|populate mmap paging policy (real)    [advise]\n"
+    "  --paging=none|advise          mmap paging policy (real)    [advise]\n"
     "  --huge-pages                  MADV_HUGEPAGE on temps (real)\n"
     "  --scatter=direct|buffered|stream  partition scatter (real) "
     "[buffered]\n"
@@ -313,8 +313,6 @@ bool ResolveRealOptions(const Flags& flags, mm::MmJoinOptions* options) {
     options->paging = exec::PagingMode::kNone;
   } else if (flags.paging == "advise") {
     options->paging = exec::PagingMode::kAdvise;
-  } else if (flags.paging == "populate") {
-    options->paging = exec::PagingMode::kPopulate;
   } else {
     std::fprintf(stderr, "bad --paging\n");
     return false;

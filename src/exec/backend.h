@@ -145,6 +145,11 @@ concept Backend = requires(B b, const B cb, uint32_t i, uint32_t j,
   // which pages are resident when.
   { b.AdviseSegment(i, seg, intent) };
   { b.AdviseRange(i, seg, off, len, intent) };
+  // Issues the pre-fault of every kPopulateWrite range declared so far.
+  // A driver calls it once, right before MarkPass("setup"): the real
+  // backend spreads it over the workers in bounded chunks; a no-op on the
+  // simulator, whose setup is charged through ChargeSetupAll.
+  { b.Prefault() };
 
   // ---- execution structure -----------------------------------------------
   // Runs fn(i) for every partition: serially in workload order on the
@@ -189,6 +194,10 @@ concept Backend = requires(B b, const B cb, uint32_t i, uint32_t j,
   { cb.tracing() } -> std::convertible_to<bool>;
   { b.clock_ms(i) } -> std::convertible_to<double>;
   { b.Span(i, label, label, ms, args) };
+  // Span [start_ms, now) on the whole-run driver track, beside the pass
+  // spans — how the real backend attributes its setup pass to the
+  // pre-fault and the bucket count. A no-op on the simulator.
+  { b.DriverSpan(label, label, ms, args) };
 };
 
 /// Exact layout of the RP_i temporaries shared by both backends: RP_i holds

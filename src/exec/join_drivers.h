@@ -84,12 +84,14 @@ StatusOr<join::JoinRunResult> NestedLoops(B& ex,
   // Declare the pass-0/1 access pattern (no-op on the simulator and under
   // paging=none): R is scanned once sequentially, S is probed in pointer
   // order, and the RP temporaries are about to be filled — pre-faulting
-  // them turns pass 0's first-touch faults into one bulk populate.
+  // them (Prefault, spread over the workers) moves pass 0's first-touch
+  // faults into setup.
   for (uint32_t i = 0; i < d; ++i) {
     ex.AdviseSegment(i, ex.r_seg(i), AccessIntent::kSequential);
     ex.AdviseSegment(i, ex.s_seg(i), AccessIntent::kRandom);
     ex.AdviseSegment(i, ex.rp_seg(i), AccessIntent::kPopulateWrite);
   }
+  ex.Prefault();
   ex.MarkPass("setup");
 
   // ---- Pass 0: partition R_i; join the R_{i,i} objects immediately. ----
@@ -158,14 +160,22 @@ StatusOr<join::JoinRunResult> SortMerge(B& ex,
     ex.ChargeSetupAll(per_proc / d);
   }
   // R scans once sequentially; S_i is swept sequentially by the final
-  // merge-join; the RS/Merge/RP temporaries are about to be filled.
+  // merge-join; the RS/RP temporaries are about to be filled. Merge_i is
+  // written only by an intermediate merge pass: when RS_i's runs fit the
+  // final merge (runs0 <= NRUN_LAST) it is never touched, so it is not
+  // pre-faulted.
   for (uint32_t i = 0; i < d; ++i) {
     ex.AdviseSegment(i, ex.r_seg(i), AccessIntent::kSequential);
     ex.AdviseSegment(i, ex.s_seg(i), AccessIntent::kSequential);
     ex.AdviseSegment(i, rs_segs[i], AccessIntent::kPopulateWrite);
-    ex.AdviseSegment(i, merge_segs[i], AccessIntent::kPopulateWrite);
+    const join::SortMergePlan plan = join::PlanSortMerge(
+        params.m_rproc_bytes, mc.page_size, rs_objects[i], params);
+    if (plan.runs0 > plan.nrun_last) {
+      ex.AdviseSegment(i, merge_segs[i], AccessIntent::kPopulateWrite);
+    }
     ex.AdviseSegment(i, ex.rp_seg(i), AccessIntent::kPopulateWrite);
   }
+  ex.Prefault();
   ex.MarkPass("setup");
 
   // RS_i is one flat region — a one-bucket BucketLayout. Writers append to
@@ -373,6 +383,7 @@ StatusOr<join::JoinRunResult> Mpsm(B& ex, const join::JoinParams& params) {
     ex.AdviseSegment(node_first[n], band_segs[n],
                      AccessIntent::kPopulateWrite);
   }
+  ex.Prefault();
   ex.MarkPass("setup");
 
   // ---- Pass 0: range-partition R_i across the node bands. ----
@@ -649,6 +660,7 @@ StatusOr<join::JoinRunResult> Grace(B& ex, const join::JoinParams& params) {
     ex.AdviseSegment(i, rs_segs[i], AccessIntent::kPopulateWrite);
     ex.AdviseSegment(i, ex.rp_seg(i), AccessIntent::kPopulateWrite);
   }
+  ex.Prefault();
   ex.MarkPass("setup");
 
   auto bucket_append_run = [&](uint32_t writer, uint32_t target, uint32_t b,
@@ -803,6 +815,7 @@ StatusOr<join::JoinRunResult> HybridHash(B& ex,
     ex.AdviseSegment(i, rs_segs[i], AccessIntent::kPopulateWrite);
     ex.AdviseSegment(i, ex.rp_seg(i), AccessIntent::kPopulateWrite);
   }
+  ex.Prefault();
   ex.MarkPass("setup");
 
   // The resident tables: per process, (r_id, sptr) entries of its own
@@ -998,6 +1011,7 @@ StatusOr<join::JoinRunResult> IndexNestedLoops(B& ex,
     ex.AdviseSegment(i, ix_segs[i], AccessIntent::kPopulateWrite);
     ex.AdviseSegment(i, ex.rp_seg(i), AccessIntent::kPopulateWrite);
   }
+  ex.Prefault();
   ex.MarkPass("setup");
 
   auto bucket_append_run = [&](uint32_t writer, uint32_t target, uint32_t b,

@@ -52,7 +52,6 @@ enum class PagingMode : uint8_t {
   kAdvise,    ///< madvise intents: SEQUENTIAL/RANDOM per pass, WILLNEED
               ///< ahead of a band, DONTNEED on retirement, POPULATE_WRITE
               ///< pre-fault of anonymous temporaries about to be filled
-  kPopulate,  ///< kAdvise plus MAP_POPULATE at temporary-creation time
 };
 
 const char* KernelName(DerefKernel kernel);

@@ -219,29 +219,54 @@ class BucketLayout {
 
 /// Exact per-bucket populations of the Grace/hybrid RS layout, counted
 /// from the raw R partitions (metadata precomputation, not charged — the
-/// counts depend only on the workload and the bucket function). With
-/// `resident` non-null (hybrid hash), own-partition bucket-0 objects are
-/// diverted to resident[i] instead of bucket_count[i][0].
+/// counts depend only on the workload and the bucket function). Every R_i
+/// is counted by its own partition body into its own array, and the arrays
+/// are summed after the barrier, so the counts are exact and identical on
+/// every schedule and worker count. With `resident` non-null (hybrid
+/// hash), own-partition bucket-0 objects are diverted to resident[i]
+/// instead of bucket_count[i][0]. The real backend shows the count as the
+/// `setup.count` span of the driver track.
 template <Backend B>
 std::vector<std::vector<uint64_t>> CountBuckets(
-    const B& ex, uint32_t k_buckets, std::vector<uint64_t>* resident) {
+    B& ex, uint32_t k_buckets, std::vector<uint64_t>* resident) {
   const uint32_t d = ex.D();
-  std::vector<std::vector<uint64_t>> bucket_count(
-      d, std::vector<uint64_t>(k_buckets, 0));
-  if (resident != nullptr) resident->assign(d, 0);
-  for (uint32_t i = 0; i < d; ++i) {
+  const double start_ms = ex.tracing() ? ex.clock_ms(0) : 0;
+  std::vector<join::GraceBucketMap> maps;
+  maps.reserve(d);
+  for (uint32_t p = 0; p < d; ++p) maps.emplace_back(ex.s_count(p), k_buckets);
+  // partial[i][p * K + b]: R_i's objects bound for bucket b of RS_p.
+  std::vector<std::vector<uint64_t>> partial(d);
+  std::vector<uint64_t> own_resident(d, 0);
+  ex.ForEachPartition(RCounts(ex), [&](uint32_t i) {
+    std::vector<uint64_t>& counts = partial[i];
+    counts.assign(uint64_t{d} * k_buckets, 0);
     const rel::RObject* objs = ex.RawR(i);
     const uint64_t n = ex.r_count(i);
+    uint64_t resident_here = 0;  // a local: own_resident shares cache lines
     for (uint64_t k = 0; k < n; ++k) {
       const rel::SPtr sp = rel::SPtr::Unpack(objs[k].sptr);
-      const uint32_t b = join::GraceBucketOf(
-          sp.index, ex.s_count(sp.partition), k_buckets);
+      const uint32_t b = maps[sp.partition].Of(sp.index);
       if (resident != nullptr && b == 0 && sp.partition == i) {
-        ++(*resident)[i];
+        ++resident_here;
       } else {
-        ++bucket_count[sp.partition][b];
+        ++counts[uint64_t{sp.partition} * k_buckets + b];
       }
     }
+    own_resident[i] = resident_here;
+  });
+  std::vector<std::vector<uint64_t>> bucket_count(
+      d, std::vector<uint64_t>(k_buckets, 0));
+  for (uint32_t i = 0; i < d; ++i) {
+    for (uint32_t p = 0; p < d; ++p) {
+      for (uint32_t b = 0; b < k_buckets; ++b) {
+        bucket_count[p][b] += partial[i][uint64_t{p} * k_buckets + b];
+      }
+    }
+  }
+  if (resident != nullptr) *resident = std::move(own_resident);
+  if (ex.tracing()) {
+    ex.DriverSpan("setup.count", "setup", start_ms,
+                  {obs::Arg("buckets", uint64_t{k_buckets})});
   }
   return bucket_count;
 }
@@ -569,7 +594,8 @@ Status MergeJoinRuns(B& ex, uint32_t i, typename B::Seg* src,
         ex.CreateSegment(
             "Swap" + std::to_string(i) + "p" + std::to_string(pass_count),
             i, std::max<uint64_t>(n, 1) * r));
-    ex.AdviseSegment(i, fresh, AccessIntent::kPopulateWrite);
+    // No pre-fault: the area's only writer is the next merge pass of this
+    // same partition body, which first-touches it in order.
     *src = *dst;  // the merged output becomes the next source
     *dst = fresh;
     run_len *= plan.nrun_abl;

@@ -239,6 +239,11 @@ void JoinRunResult::ExportMetrics(obs::MetricsRegistry* registry) const {
     registry->counter("join.paging.advise_bytes").Inc(paging_advise_bytes);
     registry->counter("join.paging.advise_errors").Inc(paging_advise_errors);
   }
+  if (paging_prefault_bytes > 0) {
+    // Real-backend setup pre-fault only; absent from simulated dumps.
+    registry->counter("join.paging.prefault_bytes").Inc(paging_prefault_bytes);
+    registry->histogram("join.paging.prefault_ms").Record(paging_prefault_ms);
+  }
   if (scatter_tuples > 0) {
     // Real-backend write-combining scatter only; absent from simulated
     // dumps and from scatter=direct runs.

@@ -114,6 +114,10 @@ struct JoinRunResult {
   uint64_t paging_advise_calls = 0;   ///< madvise intents applied
   uint64_t paging_advise_bytes = 0;   ///< page-rounded bytes advised
   uint64_t paging_advise_errors = 0;  ///< madvise failures (also Status)
+  /// The setup pass's pre-fault (RealBackend::Prefault): page-rounded bytes
+  /// populated and the wall time it took, both part of the `setup` pass.
+  uint64_t paging_prefault_bytes = 0;
+  double paging_prefault_ms = 0;
 
   // Write-combining scatter telemetry (real backend with
   // scatter=buffered|stream; all zero on the simulator and under
@@ -136,7 +140,7 @@ struct JoinRunResult {
   uint32_t numa_nodes = 0;             ///< detected NUMA nodes
   uint64_t numa_mbind_calls = 0;       ///< segments interleaved via mbind
   uint64_t numa_mbind_errors = 0;      ///< mbind failures (also Status)
-  uint64_t numa_first_touch_pages = 0; ///< RP pages pre-faulted by owners
+  uint64_t numa_first_touch_pages = 0; ///< pages pre-faulted on their node
 
   // Adaptive-planner echo (real backend through mm::MmJoin; all zero when
   // the caller picked the driver explicitly and no prediction was made).
@@ -270,6 +274,12 @@ class JoinExecution {
     }
   }
 
+  /// Driver-track spans are a real-backend attribution of the setup pass;
+  /// simulated setup is charged, not measured, so there is nothing to split.
+  void DriverSpan(const std::string& /*name*/, const std::string& /*cat*/,
+                  double /*start_ms*/, std::vector<obs::TraceArg> /*args*/ = {}) {
+  }
+
   /// Creates the RP_i temporaries (exactly sized from the workload's
   /// sub-partition counts) on each disk.
   Status CreateRpSegments();
@@ -338,6 +348,9 @@ class JoinExecution {
   /// Paging intents are meaningless to the simulated page cache (its
   /// replacement policy is the model under study): no-ops.
   void AdviseSegment(uint32_t /*i*/, Seg /*seg*/, exec::AccessIntent /*in*/) {}
+  /// The setup pre-fault: nothing to issue — the paging model knows the
+  /// access pattern, and setup is charged through ChargeSetupAll.
+  void Prefault() {}
   void AdviseRange(uint32_t /*i*/, Seg /*seg*/, uint64_t /*off*/,
                    uint64_t /*len*/, exec::AccessIntent /*in*/) {}
 

@@ -87,9 +87,9 @@ struct MmJoinOptions {
   uint32_t prefetch_distance = 0;
   /// mmap paging policy: `kNone` issues no hints; `kAdvise` (default) maps
   /// the drivers' declared access intents onto madvise(2) — SEQUENTIAL
-  /// scans, RANDOM probes, POPULATE_WRITE pre-faulting of temporaries,
-  /// WILLNEED/DONTNEED band streaming; `kPopulate` additionally maps
-  /// temporaries with MAP_POPULATE. Hints never affect results.
+  /// scans, RANDOM probes, POPULATE_WRITE pre-faulting of temporaries
+  /// (chunked over the workers at the end of setup), WILLNEED/DONTNEED band
+  /// streaming. Hints never affect results.
   exec::PagingMode paging = exec::PagingMode::kAdvise;
   /// Request MADV_HUGEPAGE on temporaries (effective only when the system
   /// THP mode is `madvise`); independent of `paging`.
@@ -106,8 +106,9 @@ struct MmJoinOptions {
   uint32_t scatter_tuples = 0;
   /// NUMA placement of the RP/RS temporaries: `kNone` (default) leaves
   /// placement to the kernel; `kInterleave` mbind(2)s new segments across
-  /// all nodes; `kLocal` first-touches each worker's RP band from its
-  /// owning worker. Both degrade to counted no-ops on single-node hosts.
+  /// all nodes; `kLocal` pre-faults each partition's RP band and declared
+  /// temporaries on workers of its node. Both degrade to counted no-ops on
+  /// single-node hosts.
   exec::NumaMode numa = exec::NumaMode::kNone;
   /// Node fan-out for the MPSM driver's band shape: 0 (default) detects
   /// the host topology, 1 forces the single-node fallback, >1 forces a

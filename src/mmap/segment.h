@@ -69,9 +69,13 @@ struct MapTimings {
 ///   kDontNeed      the range is dead: reclaim its pages immediately
 ///   kPopulateWrite the range is about to be WRITTEN in full: pre-fault
 ///                  every page now (MADV_POPULATE_WRITE), taking the
-///                  zero-fill cost in one bulk operation instead of one
-///                  minor fault per first-touched page. Degrades to a
-///                  no-op on kernels without support (< 5.14).
+///                  zero-fill cost up front instead of one minor fault per
+///                  first-touched page. The real backend collects these
+///                  ranges and issues them at the end of setup in 2 MiB
+///                  chunks spread over its workers (exec::RealBackend::
+///                  Prefault) — short calls, because each holds mmap_lock
+///                  for reading. Degrades to a no-op on kernels without
+///                  support (< 5.14).
 ///   kHugePage      back the range with transparent huge pages if the
 ///                  system allows (MADV_HUGEPAGE) — fewer TLB entries for
 ///                  large randomly-probed ranges

@@ -71,7 +71,9 @@ struct Ctx {
   double RandNs(double band_bytes) const {
     return mc.RandDerefNs(band_bytes) * rand_remote;
   }
-  /// First-touch cost of `bytes` of fresh anonymous temporaries, ms.
+  /// First-touch cost of `bytes` of fresh anonymous temporaries, ms. The
+  /// real backend pre-faults them in 2 MiB chunks spread over its workers
+  /// (RealBackend::Prefault), so the cost divides by w.
   double TempFaultMs(double bytes) const {
     return bytes / kPageBytes * mc.fault_us_per_page * 1e-3 / w;
   }

@@ -85,12 +85,10 @@ void DeriveKnobs(const model::WallInputs& w, const Calibration& cal,
     d->scatter = exec::ScatterMode::kBuffered;
   }
 
-  // Paging: cold inputs want bulk pre-faulting over demand paging; warm
-  // cache-resident runs don't need hints at all; everything else keeps the
-  // default intent-driven madvise mapping.
-  if (w.residency < 0.5) {
-    d->paging = exec::PagingMode::kPopulate;
-  } else if (w.residency >= 0.99 && r_bytes + s_band * w.partitions <= llc) {
+  // Paging: warm cache-resident runs don't need hints at all; everything
+  // else, cold inputs included, keeps the default intent-driven madvise
+  // mapping with its parallel pre-fault of the temporaries.
+  if (w.residency >= 0.99 && r_bytes + s_band * w.partitions <= llc) {
     d->paging = exec::PagingMode::kNone;
   } else {
     d->paging = exec::PagingMode::kAdvise;
