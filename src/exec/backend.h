@@ -55,6 +55,7 @@ concept Backend = requires(B b, const B cb, uint32_t i, uint32_t j,
                            const std::string& label,
                            std::vector<obs::TraceArg> args,
                            const std::vector<uint64_t>& counts,
+                           const std::vector<std::vector<uint64_t>>& units,
                            void (*fn)(uint32_t),
                            void (*range_fn)(uint32_t, uint64_t, uint64_t),
                            const SRef* refs, AccessIntent intent,
@@ -165,6 +166,12 @@ concept Backend = requires(B b, const B cb, uint32_t i, uint32_t j,
   // (in order, one owner at a time). The simulator always runs one full-
   // range call per partition, serially — bit-identical to ForEachPartition.
   { b.ForEachPartitionTuples(counts, range_fn, true) };
+  // Unit flavor: range_fn(i, u, u + 1) per unit of partition i, where
+  // units[i][u] estimates unit u's work (tuples). Every unit — a run to
+  // sort — is an independent morsel of its own, dealt by its cost, so a
+  // hot partition's runs sort on every worker. The simulator runs one
+  // range_fn(i, 0, units[i].size()) call per partition, serially.
+  { b.ForEachPartitionUnits(units, range_fn) };
   { b.SyncClocks() };
   { b.ChargeSetupAll(ms) };
   { b.MarkPass(label) };

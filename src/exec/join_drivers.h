@@ -5,7 +5,7 @@
 //
 // Since the operator-layer refactor each driver is a thin composition of
 // the reusable pass stages in exec/op/stages.h — Partition,
-// PhasedRepartition, ProbePhases, SortRuns, MergeJoinRuns,
+// PhasedRepartition, ProbePhases, SortRunMorsels, MergeJoinRuns,
 // BuildProbeBuckets — plus the driver's own setup charges, segment layout
 // and routing policy. The stages are an exact structural lift of the
 // historical monolithic drivers: for each driver the sequence of backend
@@ -259,15 +259,27 @@ StatusOr<join::JoinRunResult> SortMerge(B& ex,
   std::vector<uint64_t> npass_per(d, 0);
   std::vector<Status> partition_status(d);
 
-  // Monolithic per-partition work: the costed overload lets a dynamic
-  // schedule seed its queues largest-RS-first.
+  // Every IRUN run of every RS_i sorts as a morsel of its own, so a hot
+  // partition's runs spread over every worker (IRUN does not depend on
+  // |RS_i|: one run length serves every partition).
+  std::vector<std::vector<op::SortRun<B>>> runs(d);
+  for (uint32_t i = 0; i < d; ++i) {
+    for (uint64_t start = 0; start < rs_objects[i]; start += overall.irun) {
+      runs[i].push_back(op::SortRun<B>{
+          src_seg[i], start, std::min(overall.irun, rs_objects[i] - start)});
+    }
+  }
+  op::SortRunMorsels(ex, runs, overall.irun);
+
+  // Then each partition merges its runs and merge-joins S_i; the costed
+  // overload lets a dynamic schedule seed its queues largest-RS-first.
   ex.ForEachPartition(rs_objects, [&](uint32_t i) {
     const uint64_t n = rs_objects[i];
     const join::SortMergePlan plan =
         join::PlanSortMerge(params.m_rproc_bytes, mc.page_size, n, params);
-    const uint64_t runs = op::SortRuns(ex, i, src_seg[i], n, plan.irun);
-    partition_status[i] = op::MergeJoinRuns(ex, i, &src_seg[i], &dst_seg[i],
-                                            n, plan, runs, &npass_per[i]);
+    partition_status[i] = op::MergeJoinRuns(
+        ex, i, &src_seg[i], &dst_seg[i], n, plan,
+        std::max<uint64_t>(1, runs[i].size()), &npass_per[i]);
   });
   for (const Status& st : partition_status) MMJOIN_RETURN_NOT_OK(st);
   ex.MarkPass("sort+merge+join");
@@ -427,11 +439,10 @@ StatusOr<join::JoinRunResult> Mpsm(B& ex, const join::JoinParams& params) {
   // ---- Pass 1: heapsort each band's IRUN runs, strictly node-locally. ----
   // One IRUN for every band (sized off the largest) keeps run boundaries
   // a pure function of the plan, so pass 2 can locate any run by
-  // arithmetic. Work is expressed in RUN units on partition slots: node
-  // n's runs spread contiguously over node n's partition slots, and the
-  // morsels are independent — each run sorts in isolation — so a node's
-  // runs fan out across exactly its own workers under the node-affine
-  // schedule.
+  // arithmetic. Node n's runs spread contiguously over node n's
+  // partition slots, and every run is a morsel of its own — each run sorts
+  // in isolation — so a node's runs fan out across exactly its own workers
+  // under the node-affine schedule.
   const join::SortMergePlan overall = join::PlanSortMerge(
       params.m_rproc_bytes, mc.page_size, max_band, params);
   const uint64_t irun = overall.irun;
@@ -441,33 +452,21 @@ StatusOr<join::JoinRunResult> Mpsm(B& ex, const join::JoinParams& params) {
     node_runs[n] = band_total[n] ? op::CeilDiv(band_total[n], irun) : 0;
     total_runs += node_runs[n];
   }
-  std::vector<uint64_t> slot_first_run(d, 0), slot_run_count(d, 0);
+  std::vector<std::vector<op::SortRun<B>>> slot_runs(d);
   for (uint32_t q = 0; q < d; ++q) {
     const uint32_t n = node_of(q);
     const uint64_t slots =
         (n + 1 < nodes ? node_first[n + 1] : d) - node_first[n];
     const uint64_t k = q - node_first[n];
-    slot_first_run[q] = k * node_runs[n] / slots;
-    slot_run_count[q] = (k + 1) * node_runs[n] / slots - slot_first_run[q];
+    for (uint64_t g = k * node_runs[n] / slots;
+         g < (k + 1) * node_runs[n] / slots; ++g) {
+      const uint64_t start = g * irun;
+      slot_runs[q].push_back(op::SortRun<B>{
+          band_segs[n], start,
+          std::min<uint64_t>(irun, band_total[n] - start)});
+    }
   }
-  ex.ForEachPartitionTuples(
-      slot_run_count,
-      [&](uint32_t q, uint64_t rb, uint64_t re) {
-        if (rb == re) return;
-        const uint32_t n = node_of(q);
-        const double sort_start_ms = ex.clock_ms(q);
-        for (uint64_t t = rb; t < re; ++t) {
-          const uint64_t g = slot_first_run[q] + t;
-          const uint64_t start = g * irun;
-          op::SortRunInPlace(ex, q, band_segs[n], start,
-                             std::min<uint64_t>(irun, band_total[n] - start));
-        }
-        if (ex.tracing()) {
-          ex.Span(q, "sort-runs", "heap", sort_start_ms,
-                  {obs::Arg("runs", re - rb), obs::Arg("irun", irun)});
-        }
-      },
-      /*independent=*/true);
+  op::SortRunMorsels(ex, slot_runs, irun);
   if (sync) ex.SyncClocks();
   ex.MarkPass("pass1");
 
@@ -1080,24 +1079,74 @@ StatusOr<join::JoinRunResult> IndexNestedLoops(B& ex,
   }
   ex.MarkPass("pass1");
 
-  // ---- Index build: pack RS_i's buckets into the sorted leaf array, ----
-  // then derive the key levels. Per-bucket heapsorts keyed by
-  // (sptr, r_id) — a total order, so the leaf content (and with it the
-  // probe behavior) is identical on every backend and schedule. The RS
-  // bands stream with the same hints as the Grace bucket loop.
+  // ---- Index build: sort run-sized morsels on every worker, merge the ----
+  // split buckets into their leaves, then derive the key levels. Each
+  // bucket is cut into runs of at most IndexRunEntries, and every run of
+  // every partition sorts as a morsel of its own: a hot bucket (a Zipf
+  // head far over M_Rproc) spreads over every worker instead of one
+  // worker heapsorting it whole. Runs sort by (sptr, r_id) — a total
+  // order — and the merge breaks sptr ties by r_id, so the leaf content
+  // (and with it the probe behavior) is identical on every backend and
+  // schedule. A whole-bucket run writes its leaves directly and drops its
+  // RS band at once; a split bucket's band goes after its merge.
+  const uint64_t run_entries = op::IndexRunEntries(params);
+  struct IndexRun {
+    uint32_t bucket;
+    uint64_t first, len;  // entries [first, first + len) of the bucket
+  };
+  std::vector<std::vector<IndexRun>> index_runs(d);
+  std::vector<std::vector<uint64_t>> run_costs(d);
+  for (uint32_t i = 0; i < d; ++i) {
+    for (uint32_t b = 0; b < k_buckets; ++b) {
+      const uint64_t count = layout.Count(i, b);
+      for (uint64_t first = 0; first < count; first += run_entries) {
+        const uint64_t len = std::min(run_entries, count - first);
+        index_runs[i].push_back(IndexRun{b, first, len});
+        run_costs[i].push_back(len);
+      }
+    }
+  }
+  ex.ForEachPartitionUnits(run_costs, [&](uint32_t i, uint64_t ub,
+                                          uint64_t ue) {
+    if (ub == ue) return;
+    const double sort_start_ms = ex.clock_ms(i);
+    uint64_t entries = 0;
+    for (uint64_t u = ub; u < ue; ++u) {
+      const IndexRun& run = index_runs[i][u];
+      const uint64_t base = layout.Offset(i, run.bucket);
+      const uint64_t count = layout.Count(i, run.bucket);
+      const uint64_t run_off = base + run.first * r;
+      if (run.len == count) {
+        op::SortIndexRun(ex, i, rs_segs[i], base, count, ix_segs[i],
+                         base / r * sizeof(SRef));
+        ex.AdviseRange(i, rs_segs[i], base, count * r,
+                       AccessIntent::kDontNeed);
+      } else {
+        op::SortIndexRun(ex, i, rs_segs[i], run_off, run.len, rs_segs[i],
+                         run_off);
+      }
+      entries += run.len;
+    }
+    if (ex.tracing()) {
+      ex.Span(i, "index-sort", "heap", sort_start_ms,
+              {obs::Arg("runs", ue - ub), obs::Arg("entries", entries)});
+    }
+  });
   std::vector<Status> partition_status(d);
   ex.ForEachPartition(rs_objects, [&](uint32_t i) {
-    uint64_t out = 0;
     for (uint32_t b = 0; b < k_buckets; ++b) {
-      if (b + 1 < k_buckets) {
-        ex.AdviseRange(i, rs_segs[i], layout.Offset(i, b + 1),
-                       layout.Count(i, b + 1) * r, AccessIntent::kWillNeed);
+      const uint64_t count = layout.Count(i, b);
+      if (count <= run_entries) continue;
+      const uint64_t base = layout.Offset(i, b);
+      const double merge_start_ms = ex.clock_ms(i);
+      const uint64_t fan_in =
+          op::MergeIndexRuns(ex, i, rs_segs[i], base, count, run_entries,
+                             ix_segs[i], base / r);
+      ex.AdviseRange(i, rs_segs[i], base, count * r, AccessIntent::kDontNeed);
+      if (ex.tracing()) {
+        ex.Span(i, "index-merge", "heap", merge_start_ms,
+                {obs::Arg("fan_in", fan_in), obs::Arg("entries", count)});
       }
-      op::SortIndexRun(ex, i, rs_segs[i], layout.Offset(i, b),
-                       layout.Count(i, b), ix_segs[i], out);
-      ex.AdviseRange(i, rs_segs[i], layout.Offset(i, b),
-                     layout.Count(i, b) * r, AccessIntent::kDontNeed);
-      out += layout.Count(i, b);
     }
     op::BuildIndexLevels(ex, i, ix_segs[i], ix_layout[i]);
     ex.DropSegment(i, rs_segs[i], /*discard=*/true);

@@ -19,14 +19,15 @@
 //   PhasedRepartition D-1 staggered phases moving RP_{i,j} into RS_j
 //   ProbePhases      D-1 staggered probe-only phases (nested loops)
 //   ProbeStage       own-partition S-fetch staging (scalar or batched)
-//   SortRuns         heapsort IRUN-object runs of RS_i in place
+//   SortRunMorsels   heapsort runs in place, every run its own morsel
 //   MergeJoinRuns    k-way merge passes + final merge-join sweep of S_i
 //   BuildChainTable  TSIZE-chain in-memory hash table build (Build)
 //   ProbeChainTable  drain the chains through the S-fetch protocol (Probe)
 //   BuildProbeBuckets per-bucket build+probe loop over RS_i bands
 //   BucketLayout     contiguous bucket regions + one-writer bump cursors
 //   IndexLayout      implicit static B+-tree over a sorted SRef leaf array
-//   SortIndexRun     per-bucket leaf packing of the index-NL driver
+//   SortIndexRun     one (sptr, r_id) sort run of the index-NL build
+//   MergeIndexRuns   merge a split bucket's runs into its leaf range
 //   BuildIndexLevels derive the internal key levels bottom-up
 //   ProbeIndex       exact-match descent + duplicate-run emission
 #ifndef MMJOIN_EXEC_OP_STAGES_H_
@@ -447,9 +448,8 @@ void ProbePhases(B& ex, bool sync) {
 
 /// Sorts one run of `len` objects at object offset `start` of `seg` in
 /// place, by S-pointer: read the run in, heapsort an array of pointers,
-/// permute the objects (one MTpp move per object), write back. The single-
-/// run body of SortRuns, exposed so MPSM's pass 1 can sort individual
-/// node-band runs as independent morsels.
+/// permute the objects (one MTpp move per object), write back. The body of
+/// every SortRunMorsels morsel.
 template <Backend B>
 void SortRunInPlace(B& ex, uint32_t i, typename B::Seg seg, uint64_t start,
                     uint64_t len) {
@@ -477,22 +477,40 @@ void SortRunInPlace(B& ex, uint32_t i, typename B::Seg seg, uint64_t start,
   ex.ChargeCpu(i, static_cast<double>(len * r) * ex.mc().mt_pp_ms);
 }
 
-/// Sorts RS_i into IRUN-object runs in place: read each run in, heapsort
-/// an array of pointers, permute the objects (one MTpp move per object),
-/// write back. Returns the run count.
+/// One run of a sort pass: `len` objects at object offset `start` of `seg`.
 template <Backend B>
-uint64_t SortRuns(B& ex, uint32_t i, typename B::Seg seg, uint64_t n,
-                  uint64_t irun) {
-  const double sort_start_ms = ex.clock_ms(i);
-  for (uint64_t start = 0; start < n; start += irun) {
-    SortRunInPlace(ex, i, seg, start, std::min<uint64_t>(irun, n - start));
+struct SortRun {
+  typename B::Seg seg;
+  uint64_t start = 0;
+  uint64_t len = 0;
+};
+
+/// Sorts every run as an independent morsel (ForEachPartitionUnits):
+/// runs[i] lists the runs partition i's process sorts — the IRUN runs of
+/// RS_i for sort-merge, the node-band runs dealt to slot i for MPSM — each
+/// sorted in place by SortRunInPlace. On the real backend every run is a
+/// morsel of its own, dealt largest first, so a hot partition's runs sort
+/// on every worker; the simulator sorts each partition's runs in order on
+/// its own process, the charges of a per-partition loop. A `sort-runs`
+/// span per morsel marks the work.
+template <Backend B>
+void SortRunMorsels(B& ex, const std::vector<std::vector<SortRun<B>>>& runs,
+                    uint64_t irun) {
+  std::vector<std::vector<uint64_t>> costs(runs.size());
+  for (size_t i = 0; i < runs.size(); ++i) {
+    for (const SortRun<B>& run : runs[i]) costs[i].push_back(run.len);
   }
-  const uint64_t runs = std::max<uint64_t>(1, CeilDiv(n, irun));
-  if (ex.tracing()) {
-    ex.Span(i, "sort-runs", "heap", sort_start_ms,
-            {obs::Arg("runs", runs), obs::Arg("irun", irun)});
-  }
-  return runs;
+  ex.ForEachPartitionUnits(costs, [&](uint32_t i, uint64_t ub, uint64_t ue) {
+    if (ub == ue) return;
+    const double sort_start_ms = ex.clock_ms(i);
+    for (uint64_t u = ub; u < ue; ++u) {
+      SortRunInPlace(ex, i, runs[i][u].seg, runs[i][u].start, runs[i][u].len);
+    }
+    if (ex.tracing()) {
+      ex.Span(i, "sort-runs", "heap", sort_start_ms,
+              {obs::Arg("runs", ue - ub), obs::Arg("irun", irun)});
+    }
+  });
 }
 
 /// K-way merges partition i's sorted runs with deleteMap/newMap area swaps
@@ -748,16 +766,28 @@ class IndexLayout {
   std::vector<Level> levels_;
 };
 
-/// Packs one monotone bucket band of RS_i into the index's leaf array:
-/// reads each object's 16-byte (id, sptr) prefix, heapsorts by
-/// (sptr, r_id) — a total order, so the leaf content is independent of
-/// arrival order and therefore of backend and schedule — and writes the
-/// run at leaf offset `out` (entries). Monotone buckets concatenate into
-/// a globally sorted leaf array, exactly like the Grace bucket map
-/// guarantees for the partitioning drivers.
+/// Entries per sort run of the index build: M_Rproc worth of SRefs and
+/// their heap pointers — IRUN's rule, M_Rproc / (entry + pointer), applied
+/// to the 16-byte references the leaves hold. A bucket over it is split
+/// into runs of this size, sorted apart and merged (MergeIndexRuns).
+inline uint64_t IndexRunEntries(const join::JoinParams& params) {
+  return std::max<uint64_t>(
+      1, params.m_rproc_bytes / (sizeof(SRef) + params.heap_ptr_bytes));
+}
+
+/// Sorts one run of a monotone bucket band of RS_i: reads `count` objects'
+/// 16-byte (id, sptr) prefixes from byte offset `base`, heapsorts them by
+/// (sptr, r_id) — a total order, so the result is independent of arrival
+/// order and therefore of backend and schedule — and writes the sorted
+/// refs at byte offset `dst_off` of `dst_seg`. A run that is its whole
+/// bucket goes straight to the bucket's leaves in the index; the runs of
+/// a split bucket go back over their own, already read, RS objects, for
+/// MergeIndexRuns. Monotone buckets concatenate into a globally sorted
+/// leaf array, exactly like the Grace bucket map guarantees for the
+/// partitioning drivers.
 template <Backend B>
 void SortIndexRun(B& ex, uint32_t i, typename B::Seg rs_seg, uint64_t base,
-                  uint64_t count, typename B::Seg ix_seg, uint64_t out) {
+                  uint64_t count, typename B::Seg dst_seg, uint64_t dst_off) {
   if (count == 0) return;
   const uint64_t r = sizeof(rel::RObject);
   std::vector<SRef> refs(count);
@@ -778,10 +808,53 @@ void SortIndexRun(B& ex, uint32_t i, typename B::Seg rs_seg, uint64_t base,
   ChargeHeapCost(ex, i, cost);
   std::vector<SRef> sorted(count);
   for (uint64_t k = 0; k < count; ++k) sorted[k] = refs[idx[k]];
-  void* dst = ex.Write(i, ix_seg, out * sizeof(SRef), count * sizeof(SRef));
+  void* dst = ex.Write(i, dst_seg, dst_off, count * sizeof(SRef));
   std::memcpy(dst, sorted.data(), count * sizeof(SRef));
   ex.ChargeCpu(i, static_cast<double>(count * sizeof(SRef)) *
                       ex.mc().mt_pp_ms);
+}
+
+/// Merges the sorted runs of one split bucket into its leaf range: run g
+/// holds entries [g * run_entries, ...) of the `count`-entry band at RS
+/// byte offset `base`, as packed SRefs over its own objects (SortIndexRun
+/// put them there). The heap keys on sptr with r_id as the tie, so the
+/// leaves written from entry `out` on are exactly those one whole-bucket
+/// sort writes. Returns the fan-in.
+template <Backend B>
+uint64_t MergeIndexRuns(B& ex, uint32_t i, typename B::Seg rs_seg,
+                        uint64_t base, uint64_t count, uint64_t run_entries,
+                        typename B::Seg ix_seg, uint64_t out) {
+  const uint64_t r = sizeof(rel::RObject);
+  const uint64_t runs = CeilDiv(count, run_entries);
+  std::vector<uint64_t> cur(runs, 0), end(runs);
+  auto next_entry = [&](uint32_t g) {
+    SRef e;
+    const void* src =
+        ex.Read(i, rs_seg, base + g * run_entries * r + cur[g] * sizeof(SRef),
+                sizeof(SRef));
+    std::memcpy(&e, src, sizeof(SRef));
+    return MergeEntry{e.sptr, g, e.r_id};
+  };
+  MergeHeap heap(runs);
+  for (uint32_t g = 0; g < runs; ++g) {
+    end[g] = std::min(run_entries, count - g * run_entries);
+    heap.Insert(next_entry(g));
+  }
+  for (uint64_t k = out; !heap.empty(); ++k) {
+    const MergeEntry min = heap.Min();
+    const SRef e{min.tie, min.key};
+    if (++cur[min.run] < end[min.run]) {
+      heap.DeleteInsert(next_entry(min.run));
+    } else {
+      heap.DeleteMin();
+    }
+    std::memcpy(ex.Write(i, ix_seg, k * sizeof(SRef), sizeof(SRef)), &e,
+                sizeof(SRef));
+  }
+  ChargeHeapCost(ex, i, heap.cost());
+  ex.ChargeCpu(i, static_cast<double>(count * sizeof(SRef)) *
+                      ex.mc().mt_pp_ms);
+  return runs;
 }
 
 /// Derives the internal key levels from the packed leaf array, bottom-up:

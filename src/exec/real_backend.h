@@ -421,6 +421,39 @@ class RealBackend {
     });
   }
 
+  /// Unit flavor: runs body(i, u, u + 1) for every unit u of partition i —
+  /// each unit (a run to sort) is an independent morsel of its own, costed
+  /// by `unit_costs[i][u]`, so the stealing schedule deals the largest
+  /// units first and a hot partition's units spread across every worker.
+  /// The static schedule strides the units, in order, over the workers.
+  /// A partition without units gets no call.
+  template <typename Body>
+  void ForEachPartitionUnits(
+      const std::vector<std::vector<uint64_t>>& unit_costs, Body&& body) {
+    std::vector<Morsel> units;
+    for (uint32_t i = 0; i < d_; ++i) {
+      for (uint64_t u = 0; u < unit_costs[i].size(); ++u) {
+        units.push_back(Morsel{i, u, u + 1});
+      }
+    }
+    if (pool_ == nullptr && (schedule_ == Schedule::kStatic || workers_ <= 1)) {
+      StridedRun(static_cast<uint32_t>(units.size()), [&](uint32_t k) {
+        body(units[k].partition, units[k].begin, units[k].end);
+      });
+      return;
+    }
+    std::vector<MorselChain> chains;
+    chains.reserve(units.size());
+    for (const Morsel& m : units) {
+      chains.push_back(MorselChain{
+          m.partition, std::max<uint64_t>(1, unit_costs[m.partition][m.begin]),
+          ChainNode(m.partition), {m}});
+    }
+    RunChains(std::move(chains), [&](uint32_t, const Morsel& m) {
+      body(m.partition, m.begin, m.end);
+    });
+  }
+
   void SyncClocks() {}  // the workers' join is the real barrier
   void ChargeSetupAll(double /*per_proc_ms*/) {}
   void MarkPass(const std::string& label);

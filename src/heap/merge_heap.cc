@@ -41,11 +41,11 @@ void MergeHeap::SiftDown(size_t i) {
     const size_t r = 2 * i + 2;
     if (l < n) {
       ++cost_.compares;
-      if (heap_[l].key < heap_[smallest].key) smallest = l;
+      if (Less(heap_[l], heap_[smallest])) smallest = l;
     }
     if (r < n) {
       ++cost_.compares;
-      if (heap_[r].key < heap_[smallest].key) smallest = r;
+      if (Less(heap_[r], heap_[smallest])) smallest = r;
     }
     if (smallest == i) return;
     std::swap(heap_[i], heap_[smallest]);
@@ -58,7 +58,7 @@ void MergeHeap::SiftUp(size_t i) {
   while (i > 0) {
     const size_t parent = (i - 1) / 2;
     ++cost_.compares;
-    if (heap_[parent].key <= heap_[i].key) return;
+    if (!Less(heap_[i], heap_[parent])) return;
     std::swap(heap_[i], heap_[parent]);
     ++cost_.swaps;
     i = parent;

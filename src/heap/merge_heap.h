@@ -16,13 +16,21 @@
 namespace mmjoin {
 
 /// An entry in the merge heap: a sort key plus the id of the run it came
-/// from (so the consumer can advance the right cursor).
+/// from (so the consumer can advance the right cursor). `tie` orders
+/// entries of equal key — the index build's (sptr, r_id) leaf order; left
+/// at 0 it changes nothing, so the key alone orders the heap. `tie` sits
+/// next to `key` so (key, tie) compares as one 128-bit value.
 struct MergeEntry {
+  MergeEntry() = default;
+  MergeEntry(uint64_t k, uint32_t r, uint64_t t = 0) : key(k), tie(t), run(r) {}
+
   uint64_t key = 0;
+  uint64_t tie = 0;
   uint32_t run = 0;
 };
 
-/// Min-heap over MergeEntry keyed on `key`, with counted operations.
+/// Min-heap over MergeEntry keyed on (`key`, `tie`), with counted
+/// operations (one compare per entry pair, whichever fields it reads).
 class MergeHeap {
  public:
   /// Constructs an empty heap with capacity for `capacity` entries.
@@ -55,6 +63,10 @@ class MergeHeap {
   static double ModelDeleteInsertLevels(uint64_t h);
 
  private:
+  static bool Less(const MergeEntry& a, const MergeEntry& b) {
+    using u128 = unsigned __int128;
+    return (u128{a.key} << 64 | a.tie) < (u128{b.key} << 64 | b.tie);
+  }
   void SiftDown(size_t i);
   void SiftUp(size_t i);
 

@@ -260,6 +260,13 @@ class JoinExecution {
                               Body&& body, bool /*independent*/) {
     for (uint32_t i = 0; i < d_; ++i) body(i, 0, counts[i]);
   }
+  /// Unit flavor: one call over all of a partition's units per partition,
+  /// serially — the same shape as the tuple flavor.
+  template <typename Body>
+  void ForEachPartitionUnits(
+      const std::vector<std::vector<uint64_t>>& unit_costs, Body&& body) {
+    for (uint32_t i = 0; i < d_; ++i) body(i, 0, unit_costs[i].size());
+  }
 
   // ---- Backend observability ----------------------------------------------
   bool tracing() const { return env_->trace() != nullptr; }

@@ -84,6 +84,15 @@ uint64_t TraceRecorder::CountEvents(std::string_view name) const {
   return n;
 }
 
+std::vector<std::vector<TraceArg>> TraceRecorder::EventArgs(
+    std::string_view name) const {
+  std::vector<std::vector<TraceArg>> out;
+  for (const auto& e : events_) {
+    if (e.ph != 'M' && e.name == name) out.push_back(e.args);
+  }
+  return out;
+}
+
 std::string TraceRecorder::ToJson() const {
   std::string out = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
   bool first = true;

@@ -74,6 +74,9 @@ class TraceRecorder {
   /// Events whose name equals `name` (metadata excluded). Used by tests to
   /// cross-check counts against simulator statistics.
   uint64_t CountEvents(std::string_view name) const;
+  /// The args of every event whose name equals `name` (metadata excluded),
+  /// in recording order — how tests read a span's work figures.
+  std::vector<std::vector<TraceArg>> EventArgs(std::string_view name) const;
 
   /// Serializes as {"displayTimeUnit":"ms","traceEvents":[...]}.
   std::string ToJson() const;

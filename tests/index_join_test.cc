@@ -10,20 +10,52 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <cstring>
+#include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "exec/join_drivers.h"
+#include "exec/real_backend.h"
+#include "exec/scheduler.h"
 #include "join/index_nl.h"
 #include "join/join_common.h"
 #include "mmap/mm_relation.h"
 #include "mmap/mmap_join.h"
 #include "mmap/segment_manager.h"
+#include "obs/trace.h"
 #include "rel/generator.h"
 #include "sim/sim_env.h"
 
 namespace mmjoin {
 namespace {
+
+/// A real backend that keeps a copy of every index segment (IX_i) when the
+/// driver drops it, so runs can compare their leaf arrays byte for byte.
+class LeafCapturingBackend : public exec::RealBackend {
+ public:
+  using RealBackend::RealBackend;
+  void DropSegment(uint32_t i, Seg seg, bool discard) {
+    if (seg->name.rfind("IX", 0) == 0) {
+      leaves[i].assign(seg->base, seg->base + seg->bytes);
+    }
+    RealBackend::DropSegment(i, seg, discard);
+  }
+  std::map<uint32_t, std::vector<uint8_t>> leaves;  ///< by partition
+};
+
+/// The numeric args of every trace event called `name`.
+std::vector<std::map<std::string, double>> SpanArgs(
+    const obs::TraceRecorder& trace, std::string_view name) {
+  std::vector<std::map<std::string, double>> out;
+  for (const auto& args : trace.EventArgs(name)) {
+    std::map<std::string, double>& m = out.emplace_back();
+    for (const obs::TraceArg& a : args) m[a.key] = std::stod(a.value);
+  }
+  return out;
+}
 
 class IndexJoinTest : public ::testing::Test {
  protected:
@@ -170,6 +202,88 @@ TEST_F(IndexJoinTest, PassStructure) {
   const std::vector<std::string> expected = {"setup", "pass0", "pass1",
                                              "index-build", "index-probe"};
   EXPECT_EQ(labels, expected);
+}
+
+TEST_F(IndexJoinTest, ZipfSortMorselsMatchSimAndOneWorkerLeaves) {
+  // Zipf 1.1 at 4 workers with an M_Rproc small enough that the hot
+  // bucket is far over one sort run: the build cuts it into run-sized
+  // morsels sorted on every worker, then merges them. Every schedule —
+  // static, stealing, and the shared pool — must join exactly like the
+  // simulator and write leaves byte-identical to a one-worker build, and
+  // no sort morsel may sort more than one run.
+  const rel::RelationConfig rc = Shape(24000, 24000, 4, 1.1, 2026'10'20);
+  join::JoinParams params;
+  params.m_rproc_bytes = params.m_sproc_bytes = 64 << 10;
+  const uint64_t run_entries =
+      params.m_rproc_bytes / (sizeof(exec::SRef) + params.heap_ptr_bytes);
+
+  auto sim_result = RunSim(rc, params);
+  ASSERT_TRUE(sim_result.ok()) << sim_result.status().ToString();
+  ASSERT_TRUE(sim_result->verified);
+  auto workload = mm::BuildMmWorkload(mgr_.get(), "zipf", rc);
+  ASSERT_TRUE(workload.ok()) << workload.status().ToString();
+
+  exec::RealBackendOptions one_worker;
+  one_worker.parallel = false;
+  LeafCapturingBackend reference(*workload, params, one_worker);
+  auto ref_result = exec::IndexNestedLoops(reference, params);
+  ASSERT_TRUE(ref_result.ok()) << ref_result.status().ToString();
+  ASSERT_TRUE(ref_result->verified);
+  ASSERT_EQ(reference.leaves.size(), rc.num_partitions);
+  // The leaves are totally ordered by (sptr, r_id), split buckets too —
+  // what one whole-bucket heapsort writes.
+  for (uint32_t i = 0; i < rc.num_partitions; ++i) {
+    uint64_t entries = 0;
+    for (uint32_t j = 0; j < rc.num_partitions; ++j) {
+      entries += workload->counts[j][i];
+    }
+    const std::vector<uint8_t>& ix = reference.leaves[i];
+    ASSERT_GE(ix.size(), entries * sizeof(exec::SRef));
+    std::vector<exec::SRef> leaf(entries);
+    std::memcpy(leaf.data(), ix.data(), entries * sizeof(exec::SRef));
+    for (uint64_t k = 1; k < entries; ++k) {
+      ASSERT_TRUE(leaf[k - 1].sptr < leaf[k].sptr ||
+                  (leaf[k - 1].sptr == leaf[k].sptr &&
+                   leaf[k - 1].r_id < leaf[k].r_id))
+          << "partition " << i << " leaf " << k;
+    }
+  }
+
+  exec::SharedWorkerPool pool(4);
+  const struct {
+    const char* name;
+    exec::Schedule schedule;
+    exec::SharedWorkerPool* pool;
+  } configs[] = {{"static", exec::Schedule::kStatic, nullptr},
+                 {"stealing", exec::Schedule::kStealing, nullptr},
+                 {"pool", exec::Schedule::kStealing, &pool}};
+  for (const auto& config : configs) {
+    SCOPED_TRACE(config.name);
+    obs::TraceRecorder trace;
+    exec::RealBackendOptions options;
+    options.max_threads = 4;
+    options.schedule = config.schedule;
+    options.pool = config.pool;
+    options.trace = &trace;
+    LeafCapturingBackend backend(*workload, params, options);
+    auto result = exec::IndexNestedLoops(backend, params);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_TRUE(result->verified);
+    EXPECT_EQ(result->output_count, sim_result->output_count);
+    EXPECT_EQ(result->output_checksum, sim_result->output_checksum);
+    EXPECT_EQ(backend.leaves, reference.leaves);
+
+    const auto sorts = SpanArgs(trace, "index-sort");
+    ASSERT_FALSE(sorts.empty());
+    for (const auto& args : sorts) {
+      EXPECT_EQ(args.at("runs"), 1.0);
+      EXPECT_LE(args.at("entries"), static_cast<double>(run_entries));
+    }
+    // The hot bucket really was split and merged.
+    const auto merges = SpanArgs(trace, "index-merge");
+    ASSERT_FALSE(merges.empty());
+    for (const auto& args : merges) EXPECT_GT(args.at("fan_in"), 1.0);
+  }
 }
 
 TEST_F(IndexJoinTest, MetricsExportIndexCounters) {

@@ -39,6 +39,29 @@ TEST(MergeHeapTest, RunIdsTravelWithKeys) {
   EXPECT_EQ(heap.DeleteMin().run, 7u);
 }
 
+TEST(MergeHeapTest, TieOrdersEqualKeys) {
+  // Equal keys pop in tie order, whatever the run ids and insert order.
+  MergeHeap heap(4);
+  heap.Insert(MergeEntry{5, 0, 30});
+  heap.Insert(MergeEntry{5, 1, 10});
+  heap.Insert(MergeEntry{4, 2, 99});
+  heap.Insert(MergeEntry{5, 3, 20});
+  std::vector<uint64_t> ties;
+  while (!heap.empty()) ties.push_back(heap.DeleteMin().tie);
+  EXPECT_EQ(ties, (std::vector<uint64_t>{99, 10, 20, 30}));
+}
+
+TEST(MergeHeapTest, ZeroTieKeepsKeyOnlyCosts) {
+  // With every tie at 0 the heap compares keys exactly as a key-only heap
+  // does: a run of equal keys costs what it always cost (the simulator's
+  // merge charges depend on it).
+  MergeHeap heap(4);
+  for (uint32_t g = 0; g < 4; ++g) heap.Insert(MergeEntry{7, g});
+  for (int k = 0; k < 8; ++k) heap.DeleteInsert(MergeEntry{7, 0});
+  EXPECT_EQ(heap.cost().compares, 19u);
+  EXPECT_EQ(heap.cost().swaps, 0u);
+}
+
 // Full k-way merge property: merging k sorted runs through the heap yields
 // the globally sorted sequence.
 class KWayMergeTest : public ::testing::TestWithParam<int> {};

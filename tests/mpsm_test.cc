@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "exec/scheduler.h"
+#include "obs/trace.h"
 #include "join/join_common.h"
 #include "join/mpsm.h"
 #include "join/sort_merge.h"
@@ -135,6 +136,66 @@ TEST_F(MpsmTest, IdentityMatrixZipfSkew) {
                      "zipf schedule=" +
                          std::to_string(static_cast<int>(sched)) +
                          " workers=" + std::to_string(workers));
+    }
+  }
+}
+
+TEST_F(MpsmTest, SortMergeRunMorselsOnZipf) {
+  // Sort-merge's pass 2 sorts every IRUN run as a morsel of its own, then
+  // merges per partition. On Zipf 1.1 at 4 workers, with an M_Rproc that
+  // gives the hot partition dozens of runs and intermediate merge passes,
+  // every schedule — static, stealing, the shared pool — joins exactly
+  // like the simulator, and every sort morsel sorts one run.
+  const rel::RelationConfig rc = Shape(24000, 4, 1.1, 2026'10'20);
+  join::JoinParams params;
+  params.m_rproc_bytes = params.m_sproc_bytes = 64 << 10;
+
+  sim::MachineConfig mc = sim::MachineConfig::SequentSymmetry1996();
+  mc.num_disks = rc.num_partitions;
+  sim::SimEnv env(mc);
+  auto sim_workload = rel::BuildWorkload(&env, rc);
+  ASSERT_TRUE(sim_workload.ok()) << sim_workload.status().ToString();
+  auto sim = join::RunSortMerge(&env, *sim_workload, params);
+  ASSERT_TRUE(sim.ok()) << sim.status().ToString();
+  ASSERT_TRUE(sim->verified);
+  ASSERT_GT(sim->npass, 1u);  // the hot partition needs merge passes
+
+  auto workload = mm::BuildMmWorkload(mgr_.get(), "zipf", rc);
+  ASSERT_TRUE(workload.ok()) << workload.status().ToString();
+  exec::SharedWorkerPool pool(4);
+  const struct {
+    const char* name;
+    exec::Schedule schedule;
+    exec::SharedWorkerPool* pool;
+  } configs[] = {{"static", exec::Schedule::kStatic, nullptr},
+                 {"stealing", exec::Schedule::kStealing, nullptr},
+                 {"pool", exec::Schedule::kStealing, &pool}};
+  for (const auto& config : configs) {
+    SCOPED_TRACE(config.name);
+    obs::TraceRecorder trace;
+    mm::MmJoinOptions opt;
+    opt.m_rproc_bytes = params.m_rproc_bytes;
+    opt.max_threads = 4;
+    opt.schedule = config.schedule;
+    opt.pool = config.pool;
+    opt.trace = &trace;
+    auto sm = mm::MmSortMerge(*workload, opt);
+    ASSERT_TRUE(sm.ok()) << sm.status().ToString();
+    EXPECT_TRUE(sm->verified);
+    EXPECT_EQ(sm->output_count, sim->output_count);
+    EXPECT_EQ(sm->output_checksum, sim->output_checksum);
+    EXPECT_EQ(sm->run.npass, sim->npass);
+
+    const auto sorts = trace.EventArgs("sort-runs");
+    EXPECT_GT(sorts.size(), rc.num_partitions);
+    for (const auto& args : sorts) {
+      for (const obs::TraceArg& a : args) {
+        if (a.key == "runs") {
+          EXPECT_EQ(a.value, "1");
+        } else if (a.key == "irun") {
+          EXPECT_EQ(a.value, std::to_string(sm->run.irun));
+        }
+      }
     }
   }
 }

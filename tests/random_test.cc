@@ -96,9 +96,43 @@ TEST(ZipfTest, HigherThetaSkewsTowardLowRanks) {
 }
 
 TEST(ZipfTest, ValuesInRange) {
-  for (double theta : {0.0, 0.3, 0.6, 0.99}) {
+  for (double theta : {0.0, 0.3, 0.6, 0.99, 1.1}) {
     ZipfGenerator gen(37, theta, 17);
     for (int i = 0; i < 2000; ++i) EXPECT_LT(gen.Next(), 37u);
+  }
+}
+
+TEST(ZipfTest, DrawnCdfTracksExactZipfCdf) {
+  // The generator inverts Gray et al.'s closed-form CDF approximation. At
+  // every theta the workloads use, on both sides of theta = 1, the drawn
+  // P(X < c) stays within a few hundredths of the exact Zipf(theta) CDF
+  // H(c, theta) / H(n, theta) at every cut point.
+  constexpr int kDraws = 200000;
+  for (double theta : {0.5, 0.99, 1.1}) {
+    for (uint64_t n : {uint64_t{1000}, uint64_t{2000000}}) {
+      SCOPED_TRACE(testing::Message() << "theta=" << theta << " n=" << n);
+      const std::vector<uint64_t> cuts = {1,   2,      5,     10,
+                                          100, n / 64, n / 8, n / 2};
+      std::vector<double> harmonic(n + 1, 0.0);  // harmonic[c] = H(c, theta)
+      for (uint64_t k = 1; k <= n; ++k) {
+        harmonic[k] =
+            harmonic[k - 1] + 1.0 / std::pow(static_cast<double>(k), theta);
+      }
+      std::vector<uint64_t> below(cuts.size(), 0);
+      ZipfGenerator gen(n, theta, 2026);
+      for (int i = 0; i < kDraws; ++i) {
+        const uint64_t v = gen.Next();
+        ASSERT_LT(v, n);
+        for (size_t c = 0; c < cuts.size(); ++c) {
+          if (v < cuts[c]) ++below[c];
+        }
+      }
+      for (size_t c = 0; c < cuts.size(); ++c) {
+        const double drawn = static_cast<double>(below[c]) / kDraws;
+        const double exact = harmonic[cuts[c]] / harmonic[n];
+        EXPECT_NEAR(drawn, exact, 0.025) << "cut=" << cuts[c];
+      }
+    }
   }
 }
 
